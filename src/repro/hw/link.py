@@ -13,6 +13,11 @@ out of one client serialize on its TX (RAID1's 2x bytes flatten Fig 4a);
 many clients into one server serialize on its RX (the parity hot spot in
 Fig 3).  Single-flow store-and-forward pipelining is approximated — a
 documented limitation (DESIGN.md §6).
+
+:func:`stream` adds the per-byte CPU stage of the sending or receiving
+node, pipelined with the wire per NIC segment.  It spends no process on
+a one-segment message and one helper process on a longer one; an
+interrupted stream frees its TX, RX and CPU slots at once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Any, Generator, Optional
 
 from repro.metrics import Metrics
 from repro.sim.engine import Environment, Event
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, Store
 from repro.hw.params import NetworkParams
 
 
@@ -109,54 +114,62 @@ def stream(env: Environment, src: NIC, dst: NIC, nbytes: int,
     slower of the two stages sets the steady-state rate — this is what
     lets aggregate PVFS bandwidth scale with I/O servers until the client
     link saturates (Figure 4a).
+
+    The two stages run in order: wire then CPU for ``'dst'``, CPU then
+    wire for ``'src'``.  A message of one segment runs both in the
+    caller, one after the other.  A longer one runs the first stage in
+    the caller and the second in one helper process fed through a
+    :class:`~repro.sim.resources.Store`, and the caller joins the helper
+    at the end.  Interrupting the caller part-way releases the NIC and
+    CPU slots it holds at once and interrupts the helper, which releases
+    its own; the helper's failure is defused, since nobody awaits it.
     """
     if nbytes <= 0 or cpu is None:
         yield from transfer(env, src, dst, nbytes, metrics)
         return
-    # One fault consult per *message*: the segment loop below moves
-    # pieces of a single logical transfer, so drop/delay/dup apply to
-    # the whole message, not per segment.
+    if cpu_at not in ("dst", "src"):
+        raise ValueError(f"cpu_at must be 'src' or 'dst', got {cpu_at!r}")
+    # One fault consult per *message*: the segments below move pieces of
+    # a single logical transfer, so drop/delay/dup apply to the whole
+    # message, not per segment.
     faults = env.faults
     if faults is not None:
         action = faults.link_action(src, dst, nbytes)
         if action is not None:
             yield from _apply_link_fault(env, action, src, dst, nbytes)
-    segment = src.params.segment
-    sizes = [segment] * (nbytes // segment)
-    if nbytes % segment:
-        sizes.append(nbytes % segment)
 
-    from repro.sim.resources import Store  # local import to avoid a cycle
-
-    queue = Store(env)
-
-    def wire_stage():
-        for size in sizes:
-            yield from _transfer_timed(env, src, dst, size, None)
-            queue.put(size)
-
-    def cpu_stage():
-        for _ in sizes:
-            size = yield queue.get()
-            yield from cpu.process_bytes(size)
+    def wire(size: int) -> Generator[Event, Any, None]:
+        return _transfer_timed(env, src, dst, size, None)
 
     if cpu_at == "dst":
-        stages = [env.process(wire_stage()), env.process(cpu_stage())]
-    elif cpu_at == "src":
-        def src_cpu_stage():
-            for size in sizes:
-                yield from cpu.process_bytes(size)
-                queue.put(size)
+        first, second = wire, cpu.process_bytes
+    else:
+        first, second = cpu.process_bytes, wire
+    segment = src.params.segment
+    if nbytes <= segment:
+        yield from first(nbytes)
+        yield from second(nbytes)
+    else:
+        sizes = [segment] * (nbytes // segment)
+        if nbytes % segment:
+            sizes.append(nbytes % segment)
+        queue = Store(env)
 
-        def src_wire_stage():
+        def second_stage() -> Generator[Event, Any, None]:
             for _ in sizes:
                 size = yield queue.get()
-                yield from _transfer_timed(env, src, dst, size, None)
+                yield from second(size)
 
-        stages = [env.process(src_cpu_stage()), env.process(src_wire_stage())]
-    else:
-        raise ValueError(f"cpu_at must be 'src' or 'dst', got {cpu_at!r}")
-    yield env.all_of(stages)
+        helper = env.process(second_stage())
+        try:
+            for size in sizes:
+                yield from first(size)
+                queue.put(size)
+            yield helper
+        finally:
+            if helper.is_alive:
+                helper.defused()
+                helper.interrupt()
     if metrics is not None:
         metrics.record_tx(src.node_name, nbytes)
         metrics.record_rx(dst.node_name, nbytes)

@@ -38,10 +38,6 @@ class NetworkParams:
     #: receiver-side processing overlaps the wire time
     segment: int = 128 * 1024
 
-    def transfer_time(self, nbytes: int) -> float:
-        """NIC occupancy for one message of ``nbytes`` payload."""
-        return self.per_message + nbytes / self.bandwidth
-
 
 @dataclass(frozen=True)
 class DiskParams:

@@ -36,6 +36,15 @@ factors:
   tombstoning its recorded callback slot (``callbacks[i] = None``) in
   O(1) instead of an O(n) ``list.remove`` scan; callback lists are
   append-only everywhere else, so recorded indices stay valid.
+* Exact event elision: while :meth:`Environment.run` delivers an event
+  with exactly one callback, ``_single_callback`` is set, and a
+  :class:`~repro.sim.resources.Resource` request that finds a free slot
+  with nothing else on the heap at ``now`` is granted in place instead
+  of through a heap event.  The requester yields the request at once
+  (``with res.request() as req: yield req``), so that grant event would
+  have been the very next one dispatched, with resuming the requester
+  as its only effect: resuming it in place changes no order and no time
+  (docs/PERF.md, "Exact event elision").
 * Scheduling/dispatch counters cost nothing: ``_seq`` already counts
   scheduled events and the dispatched count is ``_seq - len(_heap)``
   (see :meth:`Environment.stats`), which is what ``csar-repro profile``
@@ -364,25 +373,28 @@ class Process(Event):
                 break
 
             if not isinstance(next_target, Event):
-                generator.close()
-                self._ok = False
-                self._value = SimulationError(
+                error = SimulationError(
                     f"process {self.name!r} yielded {next_target!r}, "
                     "which is not an Event")
-                env._seq = seq = env._seq + 1
-                heappush(env._heap, (env._now, NORMAL, seq, self))
+            elif next_target.env is not env:
+                error = SimulationError(
+                    f"process {self.name!r} yielded an event from a "
+                    "different environment")
+            else:
+                callbacks = next_target.callbacks
+                if callbacks is None:
+                    # Already done: resume immediately with its value.
+                    event = next_target
+                    continue
+                callbacks.append(self._resume)
+                self._target = next_target
+                self._target_index = len(callbacks) - 1
                 break
-            if next_target.env is not env:
-                raise SimulationError("event from a different environment")
-
-            callbacks = next_target.callbacks
-            if callbacks is None:
-                # Already done: resume immediately with its value.
-                event = next_target
-                continue
-            callbacks.append(self._resume)
-            self._target = next_target
-            self._target_index = len(callbacks) - 1
+            generator.close()
+            self._ok = False
+            self._value = error
+            env._seq = seq = env._seq + 1
+            heappush(env._heap, (env._now, NORMAL, seq, self))
             break
         env._active = None
 
@@ -458,6 +470,11 @@ class Environment:
         self._heap: List[tuple] = []
         self._seq: int = 0
         self._active: Optional[Process] = None
+        #: True while :meth:`run` delivers an event that has exactly one
+        #: callback; :class:`~repro.sim.resources.Resource` reads it to
+        #: grant a free slot in place (see the module notes).  ``step()``
+        #: and the explored loop never set it.
+        self._single_callback = False
         #: LockSan (or compatible) sanitizer; ``None`` unless installed.
         self.sanitizer: Optional[Any] = (
             _sanitizer_factory() if _sanitizer_factory is not None else None)
@@ -551,6 +568,8 @@ class Environment:
         Both loops inline :meth:`step` (identical dispatch semantics):
         at millions of events per figure the method call and the callback
         loop for callback-less timeouts are the dominant constant costs.
+        They also keep ``_single_callback`` current for the event being
+        delivered and clear it on the way out, however they leave.
         """
         if self._tie_breaker is not None:
             return self._run_explored(until)
@@ -565,17 +584,21 @@ class Environment:
                 raise stop._value
             done: List[Event] = []
             stop.callbacks.append(done.append)
-            while heap and not done:
-                when, _prio, _seq, event = pop(heap)
-                self._now = when
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        if callback is not None:
-                            callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
+            try:
+                while heap and not done:
+                    when, _prio, _seq, event = pop(heap)
+                    self._now = when
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if callbacks:
+                        self._single_callback = len(callbacks) == 1
+                        for callback in callbacks:
+                            if callback is not None:
+                                callback(event)
+                    if not event._ok and not event._defused:
+                        raise event._value
+            finally:
+                self._single_callback = False
             if not done:
                 raise SimulationError(
                     "simulation ended before the awaited event triggered "
@@ -589,17 +612,21 @@ class Environment:
         deadline = float("inf") if until is None else float(until)
         if deadline < self._now:
             raise SimulationError("run(until) is in the past")
-        while heap and heap[0][0] <= deadline:
-            when, _prio, _seq, event = pop(heap)
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                for callback in callbacks:
-                    if callback is not None:
-                        callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
+        try:
+            while heap and heap[0][0] <= deadline:
+                when, _prio, _seq, event = pop(heap)
+                self._now = when
+                callbacks = event.callbacks
+                event.callbacks = None
+                if callbacks:
+                    self._single_callback = len(callbacks) == 1
+                    for callback in callbacks:
+                        if callback is not None:
+                            callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+        finally:
+            self._single_callback = False
         if deadline != float("inf"):
             self._now = deadline
         if not heap:

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Deque, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment, Event
@@ -37,7 +37,18 @@ class Request(Event):
 
 
 class Resource:
-    """``capacity`` interchangeable slots with FIFO granting."""
+    """``capacity`` interchangeable slots with FIFO granting.
+
+    A request that finds a free slot while the run loop delivers an
+    event with exactly one callback, and with nothing else on the heap
+    at ``now``, is granted in place: it comes back already processed,
+    so the requester's ``yield`` resumes at once instead of through a
+    heap event that would have been dispatched next anyway.  Every
+    other grant is scheduled as before.
+    """
+
+    #: Whether free-slot grants may skip the heap (see the class notes).
+    _inline_grants = True
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity < 1:
@@ -57,13 +68,20 @@ class Resource:
         return len(self.users)
 
     def request(self) -> Request:
-        req = Request(self.env, self)
+        env = self.env
+        req = Request(env, self)
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(req)
-            req.succeed()
+            heap = env._heap
+            if (env._single_callback and self._inline_grants
+                    and (not heap or heap[0][0] > env._now)):
+                req._value = None
+                req.callbacks = None
+            else:
+                req.succeed()
         else:
             self.total_waits += 1
-            self._wait_started[req] = self.env.now
+            self._wait_started[req] = env._now
             self.queue.append(req)
         return req
 
@@ -88,16 +106,6 @@ class Resource:
             self.users.append(nxt)
             nxt.succeed()
 
-    def held(self, duration: float) -> Generator[Event, Any, None]:
-        """Convenience process body: hold one slot for ``duration``.
-
-        ``yield from resource.held(t)`` acquires, waits ``t``, releases —
-        the common pattern for NIC and disk occupancy.
-        """
-        with self.request() as req:
-            yield req
-            yield self.env.timeout(duration)
-
 
 class FifoLock(Resource):
     """A mutual-exclusion lock with FIFO fairness.
@@ -109,7 +117,12 @@ class FifoLock(Resource):
     (installed in ``Environment.__init__``), so it is bound once at lock
     construction: unsanitized runs take the plain :class:`Resource` path
     with zero extra lookups per acquire/release.
+
+    Lock grants keep their heap event (no in-place grant), so a queued
+    grant's LockSan callback runs exactly where it always has.
     """
+
+    _inline_grants = False
 
     def __init__(self, env: Environment) -> None:
         super().__init__(env, capacity=1)

@@ -56,9 +56,8 @@ class TestSeededBugRegression:
     def test_intra_pass_misses_the_helper_release_leak(self):
         assert lint.lint_paths([str(SEEDED)]) == []
 
-    def test_interprocedural_pass_catches_it(self):
-        findings = lint.lint_paths([str(REPO_ROOT / "src")],
-                                   interprocedural=True)
+    def test_interprocedural_pass_catches_it(self, lint_src):
+        findings = lint_src(interprocedural=True)
         seeded = [f for f in findings if f.path.endswith("seeded_bugs.py")]
         codes = {f.code for f in seeded}
         assert "CSAR010" in codes  # HelperReleaseRaid5's leaked lease
@@ -67,12 +66,13 @@ class TestSeededBugRegression:
         assert "_take_lease" in leak.message
         assert "->" in leak.message  # the witness call chain
 
-    def test_repo_src_still_clean_intra(self):
-        assert lint.lint_paths([str(REPO_ROOT / "src")]) == []
+    def test_repo_src_still_clean_intra(self, lint_src):
+        assert lint_src() == []
 
 
 class TestWitnessCrossReference:
-    def test_every_locksan_inversion_is_part_of_a_static_cycle(self):
+    def test_every_locksan_inversion_is_part_of_a_static_cycle(
+            self, lint_src):
         # Acceptance gate: run the seeded-bug suite, collect every
         # LockSan order-inversion, and require CSAR011 to name each one
         # as the dynamic witness of a static cycle.
@@ -81,9 +81,7 @@ class TestWitnessCrossReference:
             explore.explore(scen.name, budget=16)
         witnesses = explore.drain_witnesses()
         assert witnesses, "seeded-bug suite produced no order-inversions"
-        findings = lint.lint_paths([str(REPO_ROOT / "src")],
-                                   interprocedural=True,
-                                   witnesses=witnesses)
+        findings = lint_src(interprocedural=True, witnesses=witnesses)
         cycles = [f for f in findings if f.code == "CSAR011"]
         for witness in witnesses:
             note = (f"held group {witness['held_group']} while acquiring "
@@ -152,12 +150,13 @@ class TestBaseline:
         with pytest.raises(ValueError):
             lint.load_baseline(str(path))
 
-    def test_repo_baseline_covers_the_seeded_bugs(self, monkeypatch):
+    def test_repo_baseline_covers_the_seeded_bugs(self, monkeypatch,
+                                                  lint_src):
         # The committed baseline is exactly why `csar-repro lint src`
         # exits 0 while the seeded-bug modules deliberately trip rules.
         monkeypatch.chdir(REPO_ROOT)
         entries = lint.load_baseline("tools/lint_baseline.json")
-        findings = lint.lint_paths(["src"], interprocedural=True)
+        findings = lint_src(interprocedural=True)
         assert {lint.baseline_key(f) for f in findings} == entries
 
 

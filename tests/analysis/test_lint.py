@@ -63,8 +63,8 @@ class TestFixtureRoundTrip:
 
 
 class TestCleanTree:
-    def test_repo_src_lints_clean(self):
-        findings = lint.lint_paths([str(REPO_ROOT / "src")])
+    def test_repo_src_lints_clean(self, lint_src):
+        findings = lint_src()
         assert findings == [], lint.format_text(findings)
 
     def test_pyproject_registry_matches_rules(self):

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.hw.cpu import Cpu
-from repro.hw.link import NIC, stream
+from repro.hw.link import NIC, _transfer_timed, stream
 from repro.hw.params import CpuParams, NetworkParams
 from repro.metrics import Metrics
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt, Store
 from repro.units import MBps
 
 
@@ -102,6 +102,100 @@ class TestStream:
         env.run()
         assert metrics.node_tx_bytes["a"] == 1_000_000
         assert metrics.node_rx_bytes["b"] == 1_000_000
+
+
+def reference_stream(env, src, dst, nbytes, cpu, cpu_at):
+    """The two-process ``stream`` the inline version replaced.
+
+    A wire process and a CPU process joined by a Store, awaited together
+    through an ``AllOf``; kept here (faults and metrics left out) as the
+    timing oracle for the single-helper version.
+    """
+    segment = src.params.segment
+    sizes = [segment] * (nbytes // segment)
+    if nbytes % segment:
+        sizes.append(nbytes % segment)
+    queue = Store(env)
+
+    def wire_stage():
+        for size in sizes:
+            yield from _transfer_timed(env, src, dst, size, None)
+            queue.put(size)
+
+    def cpu_stage():
+        for _ in sizes:
+            size = yield queue.get()
+            yield from cpu.process_bytes(size)
+
+    def src_cpu_stage():
+        for size in sizes:
+            yield from cpu.process_bytes(size)
+            queue.put(size)
+
+    def src_wire_stage():
+        for _ in sizes:
+            size = yield queue.get()
+            yield from _transfer_timed(env, src, dst, size, None)
+
+    if cpu_at == "dst":
+        stages = [env.process(wire_stage()), env.process(cpu_stage())]
+    else:
+        stages = [env.process(src_cpu_stage()), env.process(src_wire_stage())]
+    yield env.all_of(stages)
+
+
+SEGMENT = NetworkParams(bandwidth=1, latency=0, per_message=0).segment
+
+
+def isolated_flow(body, nbytes, cpu_at):
+    """Finish time and dispatched events of one flow on a fresh cluster."""
+    env = Environment()
+    a, b = make_nic(env, "a"), make_nic(env, "b")
+    cpu = make_cpu(env, "b" if cpu_at == "dst" else "a")
+    finish = run_timed(env, body(env, a, b, nbytes, cpu=cpu, cpu_at=cpu_at))
+    return finish, env.stats()["dispatched"]
+
+
+class TestStreamMatchesReference:
+    @pytest.mark.parametrize("cpu_at", ["dst", "src"])
+    @pytest.mark.parametrize("nbytes", [1, SEGMENT - 1, SEGMENT, SEGMENT + 1,
+                                        7 * SEGMENT // 2])
+    def test_same_finish_time_fewer_events(self, nbytes, cpu_at):
+        finish, events = isolated_flow(stream, nbytes, cpu_at)
+        ref_finish, ref_events = isolated_flow(reference_stream, nbytes,
+                                               cpu_at)
+        assert finish == ref_finish
+        assert events < ref_events
+
+
+class TestStreamInterrupt:
+    @pytest.mark.parametrize("cpu_at", ["dst", "src"])
+    @pytest.mark.parametrize("at_segment", [0.5, 1.5, 2.5])
+    def test_interrupt_frees_every_slot_at_once(self, env, cpu_at,
+                                                at_segment):
+        a, b = make_nic(env, "a"), make_nic(env, "b")
+        cpu = make_cpu(env, "b" if cpu_at == "dst" else "a")
+        outcome = []
+
+        def caller():
+            try:
+                yield from stream(env, a, b, 7 * SEGMENT // 2, cpu=cpu,
+                                  cpu_at=cpu_at)
+            except Interrupt:
+                outcome.append("interrupted")
+
+        def interrupter(target):
+            # One segment takes SEGMENT / 20 MB/s on the CPU.
+            yield env.timeout(at_segment * SEGMENT / (20 * MBps))
+            target.interrupt()
+            yield env.timeout(0)
+            outcome.append((a.tx.count, b.rx.count, cpu._resource.count))
+
+        env.process(interrupter(env.process(caller())))
+        env.run()  # a stranded helper would raise here, unobserved
+        assert outcome == ["interrupted", (0, 0, 0)]
+        assert not a.tx.queue and not b.rx.queue
+        assert not cpu._resource.queue
 
 
 class TestCpu:

@@ -122,6 +122,34 @@ class TestProcesses:
         with pytest.raises(SimulationError, match="not an Event"):
             env.run(until=p)
 
+    def test_yield_foreign_event_fails_process(self, env):
+        other = Environment()
+
+        def proc():
+            yield other.timeout(1)
+
+        p = env.process(proc())
+        with pytest.raises(SimulationError, match="different environment"):
+            env.run()
+        # The process is failed, not left suspended as the active one.
+        assert not p.is_alive
+        assert env.active_process is None
+
+    def test_foreign_event_failure_reaches_the_waiter(self, env):
+        other = Environment()
+
+        def child():
+            yield other.event()
+
+        def parent():
+            try:
+                yield env.process(child())
+            except SimulationError as exc:
+                return str(exc)
+
+        p = env.process(parent())
+        assert "different environment" in env.run(until=p)
+
     def test_waiting_on_already_finished_process(self, env):
         def child():
             return "done"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment, FifoLock, Resource, Store
+from repro.sim import engine
 
 
 @pytest.fixture
@@ -100,17 +101,6 @@ class TestResource:
         assert res.total_waits == 1
         assert res.total_wait_time == 4
 
-    def test_held_helper(self, env):
-        res = Resource(env, capacity=1)
-
-        def worker():
-            yield from res.held(3)
-            return env.now
-
-        env.process(worker())
-        p = env.process(worker())
-        assert env.run(until=p) == 6
-
     def test_bad_capacity(self, env):
         with pytest.raises(SimulationError):
             Resource(env, capacity=0)
@@ -124,6 +114,186 @@ class TestFifoLock:
         assert lock.locked
         lock.release(req)
         assert not lock.locked
+
+    def test_grant_goes_through_the_heap(self, env):
+        lock = FifoLock(env)
+        seen = []
+
+        def proc():
+            yield env.timeout(1)
+            req, scheduled = request_counting(env, lock)
+            seen.append((scheduled, req.processed))
+            yield req
+            lock.release(req)
+
+        env.process(proc())
+        env.run()
+        assert seen == [(1, False)]
+
+
+def request_counting(env, res):
+    """Request a slot; return the request and the heap events it scheduled."""
+    before = env.stats()["scheduled"]
+    req = res.request()
+    return req, env.stats()["scheduled"] - before
+
+
+class _FirstPick:
+    """A tie-breaker that keeps the default order."""
+
+    def choose(self, when, priority, events):
+        return None
+
+
+class TestInPlaceGrant:
+    """A free slot requested where the grant event would be dispatched
+    next is granted without one; every other grant is scheduled."""
+
+    def test_sole_callback_nothing_else_due_is_granted_in_place(self, env):
+        res = Resource(env)
+        seen = []
+
+        def proc():
+            yield env.timeout(1)
+            req, scheduled = request_counting(env, res)
+            seen.append((scheduled, req.processed))
+            yield req
+            seen.append(env.now)
+            res.release(req)
+
+        env.process(proc())
+        env.run()
+        assert seen == [(0, True), 1]
+
+    def test_request_outside_run_is_scheduled(self, env):
+        req, scheduled = request_counting(env, Resource(env))
+        assert (scheduled, req.processed) == (1, False)
+
+    def test_other_event_due_now_forces_a_scheduled_grant(self, env):
+        res = Resource(env)
+        seen = []
+
+        def proc():
+            yield env.timeout(1)
+            env.timeout(0)  # another event due at this instant
+            req, scheduled = request_counting(env, res)
+            seen.append(scheduled)
+            yield req
+            res.release(req)
+
+        env.process(proc())
+        env.run()
+        assert seen == [1]
+
+    def test_event_with_two_callbacks_forces_scheduled_grants(self, env):
+        res = Resource(env, capacity=2)
+        gate = env.event()
+        seen = []
+
+        def waiter():
+            yield gate
+            req, scheduled = request_counting(env, res)
+            seen.append(scheduled)
+            yield req
+            res.release(req)
+
+        def opener():
+            yield env.timeout(1)
+            gate.succeed()
+
+        env.process(waiter())
+        env.process(waiter())
+        env.process(opener())
+        env.run()
+        assert seen == [1, 1]
+
+    def test_step_never_grants_in_place(self, env):
+        res = Resource(env)
+        seen = []
+
+        def proc():
+            yield env.timeout(1)
+            req, scheduled = request_counting(env, res)
+            seen.append(scheduled)
+            yield req
+            res.release(req)
+
+        env.process(proc())
+        while env.peek() < float("inf"):
+            env.step()
+        assert seen == [1]
+
+    def test_explored_run_never_grants_in_place(self):
+        engine.set_tie_breaker_factory(_FirstPick)
+        try:
+            env = Environment()
+        finally:
+            engine.set_tie_breaker_factory(None)
+        res = Resource(env)
+        seen = []
+
+        def proc():
+            yield env.timeout(1)
+            req, scheduled = request_counting(env, res)
+            seen.append(scheduled)
+            yield req
+            res.release(req)
+
+        env.process(proc())
+        env.run()
+        assert seen == [1]
+
+    @pytest.mark.parametrize("until_event", [False, True])
+    def test_flag_cleared_when_a_callback_raises(self, env, until_event):
+        def boom(_event):
+            raise RuntimeError("callback failed")
+
+        event = env.event()
+        event.callbacks.append(boom)
+        event.succeed()
+        with pytest.raises(RuntimeError, match="callback failed"):
+            env.run(until=env.event() if until_event else None)
+        req, scheduled = request_counting(env, Resource(env))
+        assert (scheduled, req.processed) == (1, False)
+
+    def test_fifo_order_under_contention_unchanged(self, env):
+        res = Resource(env, capacity=1)
+        grants = []
+
+        def worker(name, start, hold):
+            yield env.timeout(start)
+            with res.request() as req:
+                yield req
+                grants.append((name, env.now))
+                yield env.timeout(hold)
+
+        env.process(worker("a", 0, 2))
+        env.process(worker("b", 1, 2))
+        env.process(worker("c", 2, 2))  # arrives as "a" releases
+        env.run()
+        assert grants == [("a", 0), ("b", 2), ("c", 4)]
+
+    def test_release_then_rerequest_queues_behind_waiters(self, env):
+        res = Resource(env, capacity=1)
+        grants = []
+
+        def greedy():
+            for _ in range(2):
+                with res.request() as req:
+                    yield req
+                    grants.append(("greedy", env.now))
+                    yield env.timeout(1)
+
+        def patient():
+            with res.request() as req:
+                yield req
+                grants.append(("patient", env.now))
+                yield env.timeout(1)
+
+        env.process(greedy())
+        env.process(patient())
+        env.run()
+        assert grants == [("greedy", 0), ("patient", 1), ("greedy", 2)]
 
 
 class TestStore:
