@@ -70,6 +70,7 @@ import ast
 import io
 import json
 import os
+import re
 import tokenize
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -981,11 +982,23 @@ def lint_paths(paths: Iterable[str],
 BASELINE_SCHEMA_VERSION = 1
 
 
+#: A ``(file.py:<line>)`` witness location inside a finding message.
+_MESSAGE_LINE = re.compile(r"\(([^()\s]+\.py):\d+\)")
+
+
+def _line_free(message: str) -> str:
+    """``message`` with the line numbers of its ``(file.py:<line>)``
+    witness locations dropped."""
+    return _MESSAGE_LINE.sub(r"(\1)", message)
+
+
 def baseline_key(finding: Finding) -> Tuple[str, str, str]:
-    """Baseline identity: location-line-free so mere drift in line
-    numbers does not resurrect a baselined finding, and witness-free so
-    dynamic-witness availability does not churn the file."""
-    return (finding.path, finding.code, finding.message)
+    """Baseline identity: location-line-free (the finding's own line and
+    the ``(file.py:<line>)`` locations its message cites) so mere drift
+    in line numbers does not resurrect a baselined finding, and
+    witness-free so dynamic-witness availability does not churn the
+    file."""
+    return (finding.path, finding.code, _line_free(finding.message))
 
 
 def write_baseline(findings: List[Finding], path: str) -> None:
@@ -1008,7 +1021,7 @@ def load_baseline(path: str) -> Set[Tuple[str, str, str]]:
         raise ValueError(f"unsupported baseline schema_version "
                          f"{version!r} (expected "
                          f"{BASELINE_SCHEMA_VERSION})")
-    return {(e["path"], e["code"], e["message"])
+    return {(e["path"], e["code"], _line_free(e["message"]))
             for e in data.get("entries", ())}
 
 

@@ -71,25 +71,30 @@ class PVFSClient:
         if getattr(config, "rpc_timeout", None) is not None \
                 and hasattr(target, "failed"):
             return (yield from self._rpc_hardened(target, request, config))
+        response = yield from self._exchange(target, request)
+        error = getattr(response, "error", None)
+        if error is not None:
+            if isinstance(error, ServerFailed) and hasattr(target, "index"):
+                self.suspected.add(target.index)
+            raise error
+        return response
+
+    def _exchange(self, target, request) -> Generator[Event, Any, Any]:
+        """Send ``request`` to ``target`` and wait for its response.
+
+        A payload-bearing request to a live iod streams, overlapping the
+        server's per-byte receive cost with the wire; anything else is
+        one plain transfer.
+        """
         wire = request.wire_size()
-        if wire > msg.HEADER and hasattr(target, "failed") and not target.failed:
+        if wire > msg.HEADER and not getattr(target, "failed", True):
             yield from stream(self.env, self.node.nic, target.node.nic,
                               wire, self.metrics, cpu=target.node.cpu,
                               cpu_at="dst")
         else:
             yield from transfer(self.env, self.node.nic, target.node.nic,
                                 wire, self.metrics)
-        done = self.env.event()
-        target.inbox.put((request, self.node.nic, done))
-        response = yield done
-        error = getattr(response, "error", None)
-        if error is not None:
-            from repro.errors import ServerFailed
-
-            if isinstance(error, ServerFailed) and hasattr(target, "index"):
-                self.suspected.add(target.index)
-            raise error
-        return response
+        return (yield target.submit(request, self.node.nic))
 
     # ------------------------------------------------------------------
     # hardened RPC: deadlines, bounded backoff, failover
@@ -123,17 +128,7 @@ class PVFSClient:
         run with an unobserved event failure.
         """
         try:
-            wire = request.wire_size()
-            if wire > msg.HEADER and not target.failed:
-                yield from stream(self.env, self.node.nic, target.node.nic,
-                                  wire, self.metrics, cpu=target.node.cpu,
-                                  cpu_at="dst")
-            else:
-                yield from transfer(self.env, self.node.nic, target.node.nic,
-                                    wire, self.metrics)
-            done = self.env.event()
-            target.inbox.put((request, self.node.nic, done))
-            response = yield done
+            response = yield from self._exchange(target, request)
         except ReproError as exc:
             return (None, exc)
         error = getattr(response, "error", None)

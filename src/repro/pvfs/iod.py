@@ -9,10 +9,14 @@ Per PVFS file ``f`` an iod keeps up to four local files:
 * ``f.ovfm`` — Hybrid overflow *mirror*, holding copies of the previous
   server's overflow appends.
 
-The daemon runs a dispatch loop over an inbox; every request is handled in
-its own simulation process so independent requests proceed concurrently
-while the parity-lock table serializes conflicting read-modify-writes
-(Section 5.1).
+Every request is handled in its own simulation process, so independent
+requests proceed concurrently while the parity-lock table serializes
+conflicting read-modify-writes (Section 5.1).  A client hands a request
+over with :meth:`IOD.submit`.  When nothing else is due at the current
+instant, the handler starts at once and its return value is the reply
+the client waits on.  Otherwise the request goes through the daemon's
+inbox and dispatch loop, which keeps same-instant events in order
+(docs/PERF.md, "CPU queue and direct hand-off").
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class IOD:
         #: an online rebuild is staging this server's state; an injected
         #: restart must not flip ``failed`` back mid-rebuild
         self.rebuilding = False
-        self._server_proc = env.process(self._serve(), name=f"iod{index}")
+        env.process(self._serve(), name=f"iod{index}")
 
     # ------------------------------------------------------------------
     # failure injection
@@ -116,22 +120,40 @@ class IOD:
         self.failed = False
 
     # ------------------------------------------------------------------
-    # dispatch loop
+    # request hand-off
     # ------------------------------------------------------------------
+    def submit(self, request: msg.Request, reply_nic) -> Event:
+        """Hand ``request`` to this daemon; the returned event fires with
+        the :class:`~repro.pvfs.messages.Response`.
+
+        The client yields the event at once.  When the run loop would
+        dispatch the inbox hand-off next anyway (``_sole_delivery``),
+        the handler process is started here and is itself the event:
+        its return value is the response.  Otherwise the request waits
+        in the inbox for the dispatch loop, and the event is a separate
+        reply event.
+        """
+        env = self.env
+        if env._sole_delivery():
+            proc = env.process(self._handle(request, reply_nic),
+                               name=f"iod{self.index}.handler")
+            self._inflight.add(proc)
+            return proc
+        done = env.event()
+        self.inbox.put((request, reply_nic, done))
+        return done
+
     def _serve(self) -> Generator[Event, Any, None]:
         while True:
-            envelope = yield self.inbox.get()
-            proc = self.env.process(self._handle(envelope),
-                                    name=f"iod{self.index}.handler")
-            if proc.is_alive:
-                self._inflight.add(proc)
-                proc.callbacks.append(self._retire)
+            request, reply_nic, done = yield self.inbox.get()
+            self._inflight.add(self.env.process(
+                self._handle(request, reply_nic, done),
+                name=f"iod{self.index}.handler"))
 
-    def _retire(self, proc) -> None:
-        self._inflight.discard(proc)
-
-    def _handle(self, envelope) -> Generator[Event, Any, None]:
-        request, reply_nic, done = envelope
+    def _handle(self, request: msg.Request, reply_nic, done=None,
+                ) -> Generator[Event, Any, msg.Response]:
+        """Serve one request and send the reply; returns the response,
+        and also fires ``done`` with it when one is given."""
         try:
             if self.failed:
                 response = msg.Response(error=ServerFailed(
@@ -156,13 +178,16 @@ class IOD:
             else:
                 yield from transfer(self.env, self.node.nic, reply_nic,
                                     reply_bytes, self.metrics)
-            done.succeed(response)
         except Interrupt:
             # The daemon crashed under this request: the client sees the
             # connection drop immediately rather than waiting forever.
-            if not done.triggered:
-                done.succeed(msg.Response(error=ServerFailed(
-                    f"iod{self.index} crashed mid-request")))
+            response = msg.Response(error=ServerFailed(
+                f"iod{self.index} crashed mid-request"))
+        finally:
+            self._inflight.discard(self.env.active_process)
+        if done is not None:
+            done.succeed(response)
+        return response
 
     def _dispatch(self, request: msg.Request,
                   ) -> Generator[Event, Any, msg.Response]:

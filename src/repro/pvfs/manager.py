@@ -96,6 +96,13 @@ class Manager:
         self.inbox = Store(env)
         env.process(self._serve(), name="manager")
 
+    def submit(self, request, reply_nic) -> Event:
+        """Queue ``request`` for the dispatch loop; the returned event
+        fires with the :class:`~repro.pvfs.messages.MgrResponse`."""
+        done = self.env.event()
+        self.inbox.put((request, reply_nic, done))
+        return done
+
     def _serve(self) -> Generator[Event, Any, None]:
         while True:
             request, reply_nic, done = yield self.inbox.get()

@@ -37,14 +37,16 @@ factors:
   O(1) instead of an O(n) ``list.remove`` scan; callback lists are
   append-only everywhere else, so recorded indices stay valid.
 * Exact event elision: while :meth:`Environment.run` delivers an event
-  with exactly one callback, ``_single_callback`` is set, and a
+  with exactly one callback, ``_single_callback`` is set, and
+  ``_sole_delivery()`` holds when, in addition, nothing else on the heap
+  is due at ``now``.  Then an event the running process schedules for
+  ``now`` before yielding at once would be the very next one
+  dispatched, so its work may start in place.  A
   :class:`~repro.sim.resources.Resource` request that finds a free slot
-  with nothing else on the heap at ``now`` is granted in place instead
-  of through a heap event.  The requester yields the request at once
-  (``with res.request() as req: yield req``), so that grant event would
-  have been the very next one dispatched, with resuming the requester
-  as its only effect: resuming it in place changes no order and no time
-  (docs/PERF.md, "Exact event elision").
+  is granted in place (``with res.request() as req: yield req``), and
+  :meth:`repro.pvfs.iod.IOD.submit` starts its request handler without
+  the inbox hop: neither changes any order or time (docs/PERF.md,
+  "Exact event elision" and "CPU queue and direct hand-off").
 * Scheduling/dispatch counters cost nothing: ``_seq`` already counts
   scheduled events and the dispatched count is ``_seq - len(_heap)``
   (see :meth:`Environment.stats`), which is what ``csar-repro profile``
@@ -471,9 +473,8 @@ class Environment:
         self._seq: int = 0
         self._active: Optional[Process] = None
         #: True while :meth:`run` delivers an event that has exactly one
-        #: callback; :class:`~repro.sim.resources.Resource` reads it to
-        #: grant a free slot in place (see the module notes).  ``step()``
-        #: and the explored loop never set it.
+        #: callback; :meth:`_sole_delivery` reads it (see the module
+        #: notes).  ``step()`` and the explored loop never set it.
         self._single_callback = False
         #: LockSan (or compatible) sanitizer; ``None`` unless installed.
         self.sanitizer: Optional[Any] = (
@@ -525,6 +526,21 @@ class Environment:
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+
+    def _sole_delivery(self) -> bool:
+        """Whether an event scheduled now would be dispatched next.
+
+        True while :meth:`run` delivers an event with exactly one
+        callback and nothing else on the heap is due at ``now``.  An
+        event that the resumed process schedules for ``now`` just
+        before it yields is then the next one dispatched, with no other
+        event in between, so the work it would start can start in place
+        (see the module notes).
+        """
+        if not self._single_callback:
+            return False
+        heap = self._heap
+        return not heap or heap[0][0] > self._now
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` when the heap is empty."""

@@ -72,9 +72,7 @@ class Resource:
         req = Request(env, self)
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(req)
-            heap = env._heap
-            if (env._single_callback and self._inline_grants
-                    and (not heap or heap[0][0] > env._now)):
+            if self._inline_grants and env._sole_delivery():
                 req._value = None
                 req.callbacks = None
             else:

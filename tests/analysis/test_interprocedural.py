@@ -4,6 +4,7 @@ cross-referencing, baselines, SARIF, and the CLI flags."""
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,26 @@ class TestBaseline:
             drifted, lint.load_baseline(path))
         assert new == []
         assert suppressed == len(findings)
+
+    def test_code_shifted_above_a_witness_stays_baselined(self, tmp_path):
+        # Messages cite witness locations as (file.py:<line>); lines
+        # inserted above them move those numbers, and the findings must
+        # stay baselined all the same.
+        tree = tmp_path / "ip_fixtures"
+        shutil.copytree(IP_FIXTURES, tree)
+        path = str(tmp_path / "baseline.json")
+        before = lint.lint_paths([str(tree)], interprocedural=True)
+        lint.write_baseline(before, path)
+        cited = [f for f in before if "leak_chain.py:" in f.message]
+        assert cited
+        source = tree / "leak_chain.py"
+        source.write_text("\n\n\n" + source.read_text())
+        after = lint.lint_paths([str(tree)], interprocedural=True)
+        assert {f.message for f in after} != {f.message for f in before}
+        new, suppressed = lint.apply_baseline(after,
+                                              lint.load_baseline(path))
+        assert new == []
+        assert suppressed == len(before)
 
     def test_new_findings_are_not_suppressed(self, tmp_path):
         path = str(tmp_path / "baseline.json")

@@ -189,13 +189,13 @@ class TestStreamInterrupt:
             yield env.timeout(at_segment * SEGMENT / (20 * MBps))
             target.interrupt()
             yield env.timeout(0)
-            outcome.append((a.tx.count, b.rx.count, cpu._resource.count))
+            outcome.append((a.tx.count, b.rx.count, len(cpu._jobs)))
 
         env.process(interrupter(env.process(caller())))
         env.run()  # a stranded helper would raise here, unobserved
         assert outcome == ["interrupted", (0, 0, 0)]
         assert not a.tx.queue and not b.rx.queue
-        assert not cpu._resource.queue
+        assert not cpu._jobs
 
 
 class TestCpu:

@@ -5,6 +5,7 @@ import pytest
 from repro import CSARConfig, Payload, System
 from repro.errors import ProtocolError, ServerFailed
 from repro.pvfs import messages as msg
+from repro.sim.engine import Process
 from repro.units import KiB
 
 UNIT = 16 * KiB
@@ -223,3 +224,109 @@ class TestMaintenance:
         system = make_system()
         assert system.iods[0].storage_of("ghost") == {
             "data": 0, "red": 0, "ovf": 0, "ovfm": 0}
+
+
+def spy_submit(monkeypatch, iod, crowd=False, store_path=False):
+    """Record the events ``iod.submit`` hands out.  ``crowd`` schedules
+    another event for the hand-off instant first; ``store_path`` makes
+    the run loop's guard fail for this one delivery."""
+    submit = iod.submit
+    handed = []
+
+    def spied(request, reply_nic):
+        if crowd:
+            iod.env.timeout(0)
+        if store_path:
+            iod.env._single_callback = False
+        event = submit(request, reply_nic)
+        handed.append(event)
+        return event
+
+    monkeypatch.setattr(iod, "submit", spied)
+    return handed
+
+
+class TestHandOff:
+    def read_req(self):
+        return msg.ReadReq("f", kind="data", offset=0, length=3)
+
+    def scheduled_by_rpc(self, monkeypatch, store_path):
+        system = make_system()
+        iod = system.iods[0]
+        rpc(system, iod, msg.WriteReq("f", kind="data", offset=0,
+                                      payload=Payload.from_bytes(b"abc")))
+        handed = spy_submit(monkeypatch, iod, store_path=store_path)
+        before = system.env.stats()["scheduled"]
+        response = rpc(system, iod, self.read_req())
+        assert response.payload.to_bytes() == b"abc"
+        return (system.env.stats()["scheduled"] - before, system.env.now,
+                isinstance(handed[0], Process))
+
+    def test_direct_hand_off_saves_two_events(self, monkeypatch):
+        direct, t_direct, started = self.scheduled_by_rpc(monkeypatch,
+                                                          False)
+        queued, t_queued, via_inbox = self.scheduled_by_rpc(monkeypatch,
+                                                            True)
+        assert started and not via_inbox
+        assert direct == queued - 2  # no StoreGet, no separate reply
+        assert t_direct == t_queued
+
+    def test_event_due_now_forces_the_store_path(self, monkeypatch):
+        system = make_system()
+        iod = system.iods[0]
+        handed = spy_submit(monkeypatch, iod, crowd=True)
+        response = rpc(system, iod, self.read_req())
+        assert response.payload.to_bytes() == b"\x00" * 3
+        assert not isinstance(handed[0], Process)
+        assert not iod._inflight
+
+    def test_fail_during_a_direct_handler(self, monkeypatch):
+        system = make_system()
+        iod = system.iods[0]
+        handed = spy_submit(monkeypatch, iod)
+        env = system.env
+        client = system.client()
+        seen = []
+
+        def work():
+            try:
+                yield from client.rpc(iod, msg.ReadReq(
+                    "f", kind="data", offset=0, length=64 * KiB))
+            except ServerFailed as exc:
+                seen.append(str(exc))
+
+        def crash():
+            while not handed:
+                yield env.timeout(1e-6)
+            yield env.timeout(1e-6)
+            seen.append(handed[0].is_alive)
+            iod.fail()
+
+        env.process(crash())
+        system.run(work())
+        assert isinstance(handed[0], Process)
+        assert seen == [True, "iod0 crashed mid-request"]
+        assert not iod._inflight
+
+    def test_unexpected_handler_error_reaches_the_client(self,
+                                                         monkeypatch):
+        system = make_system()
+        iod = system.iods[0]
+        handed = spy_submit(monkeypatch, iod)
+
+        def broken(request):
+            raise RuntimeError("handler bug")
+            yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(iod, "_dispatch", broken)
+        client = system.client()
+
+        def work():
+            try:
+                yield from client.rpc(iod, self.read_req())
+            except RuntimeError as exc:
+                return str(exc)
+
+        assert system.run(work()) == "handler bug"
+        assert isinstance(handed[0], Process)
+        assert not iod._inflight
